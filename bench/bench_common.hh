@@ -26,8 +26,8 @@
 #include "common/statistics.hh"
 #include "common/table.hh"
 #include "harness/batch_runner.hh"
+#include "harness/dispatch.hh"
 #include "harness/experiment.hh"
-#include "harness/process_pool.hh"
 #include "harness/result_cache.hh"
 #include "harness/trace_report.hh"
 
@@ -43,18 +43,18 @@ struct FigureOptions
     std::size_t jobs = 1; //!< simulation worker threads (--jobs)
     /**
      * Multi-process execution (--workers/--worker-bin): when
-     * pool.workers > 0 the plan runs across spawned
-     * taskpoint_worker processes instead of in-process threads,
-     * with byte-identical deterministic output.
+     * campaign.localRunners > 0 the plan runs as a local dispatch
+     * campaign of spawned taskpoint_worker runners instead of
+     * in-process threads, with byte-identical deterministic output.
      */
-    harness::ProcessPoolOptions pool;
+    harness::DispatchOptions campaign;
     /** Result cache (--cache-dir/--cache); may be null. */
     std::shared_ptr<harness::ResultCache> cache;
     /**
      * Warm-state checkpoint store (--checkpoint-dir); may be null.
      * In-process runs record/restore through it directly; with
-     * --workers the pool forwards the directory to its workers
-     * (pool.checkpointDir) instead.
+     * --workers the coordinator forwards the directory to its
+     * runners (campaign.checkpointDir) instead.
      */
     std::shared_ptr<harness::ResultCache> checkpoints;
     /** Replay this serialized plan instead of the built one. */
@@ -155,12 +155,12 @@ parseFigureOptions(int argc, char **argv,
     o.benchmarks = args.getList("benchmarks", {});
     validateBenchmarks(o.benchmarks);
     o.jobs = jobsFlag(args, o.jobs);
-    o.pool = harness::processPoolFromCli(args);
+    o.campaign = harness::dispatchOptionsFromCli(args);
     // Multi-process runs consult the cache and checkpoint store
-    // inside the workers (the pool forwards --cache-dir/--cache and
-    // --checkpoint-dir); a driver-side instance would only ever
+    // inside the runners (the coordinator forwards --cache-dir/--cache
+    // and --checkpoint-dir); a driver-side instance would only ever
     // report zero hits.
-    if (o.pool.workers == 0) {
+    if (o.campaign.localRunners == 0) {
         o.cache = harness::resultCacheFromCli(args);
         o.checkpoints = harness::openCheckpointDir(
             args.getString(kCheckpointDirOption, ""));
@@ -325,9 +325,9 @@ class FigureTraceTee final : public harness::ResultSink
  * Holds one BatchRunner for the in-process path, so a driver running
  * several plans (references, then a sampled sweep) realizes each
  * trace once and shares it — and resolveTrace() works for structure
- * statistics in both modes. With `--workers=N` every run() is
- * delegated to a ProcessPool of spawned taskpoint_worker processes;
- * both paths honour the same ordered-sink contract, so a figure's
+ * statistics in both modes. With `--workers=N` every run() is a
+ * local dispatch campaign of spawned taskpoint_worker runners; both
+ * paths honour the same ordered-sink contract, so a figure's
  * deterministic output is byte-identical either way.
  *
  * `--trace-out`/`--trace-stats` tee every run's results into a
@@ -390,8 +390,8 @@ class PlanExecutor
     runRaw(const harness::ExperimentPlan &plan,
            harness::ResultSink &sink) const
     {
-        if (opts_->pool.workers > 0)
-            harness::ProcessPool(opts_->pool).run(plan, sink);
+        if (opts_->campaign.localRunners > 0)
+            harness::runDispatchCampaign(plan, opts_->campaign, sink);
         else
             runner_.run(plan, sink);
     }

@@ -18,8 +18,8 @@
  * row streams to files. Deterministic fields of the report are
  * byte-identical to running the plan in the process that built it —
  * only host wall-clock columns differ — and `--workers=N` executes
- * the plan across spawned taskpoint_worker processes with the same
- * guarantee. `--list` inspects the jobs without simulating anything.
+ * the plan as a local dispatch campaign of N spawned taskpoint_worker
+ * runners with the same guarantee. `--list` inspects the jobs without simulating anything.
  */
 
 #include <cstdio>
@@ -28,7 +28,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "harness/batch_runner.hh"
-#include "harness/process_pool.hh"
+#include "harness/dispatch.hh"
 #include "harness/result_cache.hh"
 #include "harness/trace_report.hh"
 
@@ -126,13 +126,14 @@ main(int argc, char **argv)
                 .get());
     harness::TeeSink tee(std::move(sinks));
 
-    const harness::ProcessPoolOptions poolOpts =
-        harness::processPoolFromCli(args);
-    if (poolOpts.workers > 0) {
-        // Multi-process: workers consult the cache and checkpoint
-        // store themselves (the pool forwards the directories) and
-        // ship timelines back when a trace sink is active.
-        harness::ProcessPool(poolOpts).run(plan, tee);
+    const harness::DispatchOptions campaign =
+        harness::dispatchOptionsFromCli(args);
+    if (campaign.localRunners > 0) {
+        // Multi-process: runners consult the cache and checkpoint
+        // store themselves (the coordinator forwards the
+        // directories) and ship timelines back when a trace sink is
+        // active.
+        harness::runDispatchCampaign(plan, campaign, tee);
     } else {
         const std::unique_ptr<harness::ResultCache> cache =
             harness::resultCacheFromCli(args);

@@ -330,8 +330,8 @@ maxRetriesCliOption()
 {
     return {kMaxRetriesOption,
             "attempts per shard before a multi-process or "
-            "distributed run fails: spawn retries for --workers, "
-            "steal/re-split rounds for taskpoint_dispatch "
+            "distributed run fails: steal/re-split rounds of "
+            "--workers and taskpoint_dispatch campaigns "
             "(default 3, range 1-100)"};
 }
 

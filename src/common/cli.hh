@@ -114,8 +114,9 @@ extern const char *const kJobsOption;
 
 /**
  * Canonical names of the multi-process options ("workers",
- * "worker-bin"). Drivers that can hand a plan to a ProcessPool list
- * both and build the pool with harness::processPoolFromCli().
+ * "worker-bin"). Drivers that can run a plan as a local dispatch
+ * campaign list both and build its options with
+ * harness::dispatchOptionsFromCli().
  */
 extern const char *const kWorkersOption;
 extern const char *const kWorkerBinOption;
@@ -140,9 +141,8 @@ extern const char *const kCheckpointDirOption;
 
 /**
  * Canonical name of the fault-tolerance budget option
- * ("max-retries"): attempts per shard before a ProcessPool run
- * fails, and steal/re-split rounds per shard lineage before a
- * dispatch campaign fails.
+ * ("max-retries"): steal/re-split rounds per shard lineage before a
+ * dispatch campaign (and so a `--workers` run) fails.
  */
 extern const char *const kMaxRetriesOption;
 

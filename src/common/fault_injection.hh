@@ -18,10 +18,10 @@
  * nothing (perf_smoke's fault-overhead probe holds this to within
  * noise). Plans load from `--fault-plan=<file>` or the
  * TASKPOINT_FAULT_PLAN environment variable; the CLI layer exports
- * the variable so spawned workers and runners inherit the plan,
- * and an optional `once` marker prefix arbitrates fleet-wide faults
- * (e.g. "exactly one runner aborts") through O_CREAT|O_EXCL claims,
- * the same idiom as the worker kill-once test hook.
+ * the variable so spawned runners inherit the plan, and an optional
+ * `once` marker prefix arbitrates fleet-wide faults (e.g. "exactly
+ * one runner aborts") through O_CREAT|O_EXCL claims — the one way
+ * tests kill a process mid-run.
  */
 
 #ifndef TP_COMMON_FAULT_INJECTION_HH

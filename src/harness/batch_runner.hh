@@ -43,8 +43,8 @@ class ResultCache;
 /**
  * Fail fast on a malformed plan: every job must name exactly one
  * trace source, and named workloads must exist in the registry.
- * Shared by BatchRunner::run and ProcessPool::run so a bad plan
- * never starts a simulation or spawns a worker.
+ * Shared by BatchRunner::run and runDispatchCampaign so a bad plan
+ * never starts a simulation or spawns a runner.
  *
  * @throws SimError describing the first offending job
  */

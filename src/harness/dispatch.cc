@@ -15,6 +15,7 @@
 
 #include "common/backoff.hh"
 #include "common/binary_io.hh"
+#include "common/cli.hh"
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
 #include "common/subprocess.hh"
@@ -32,19 +33,13 @@ namespace {
 const char *const kTaskSuffix = ".tpshard";
 const char *const kStreamSuffix = ".tprs";
 
-/** See g_runCounter in process_pool.cc: unique temp spools per run. */
+/**
+ * Process-wide counter for temp spool names: two campaigns in one
+ * process (or a campaign after a failed cleanup) must never resolve
+ * the same directory, or stale result streams of the earlier one
+ * would be tailed as current ones.
+ */
 std::atomic<std::uint64_t> g_spoolCounter{0};
-
-std::string
-selfBinary()
-{
-    std::error_code ec;
-    const fs::path self = fs::read_symlink("/proc/self/exe", ec);
-    if (ec)
-        fatal("dispatch: cannot resolve /proc/self/exe to spawn "
-              "local runners; pass an explicit runner binary");
-    return self.string();
-}
 
 std::string
 defaultRunnerId()
@@ -69,6 +64,16 @@ slurp(const std::string &path)
 }
 
 } // namespace
+
+std::string
+defaultWorkerBinary()
+{
+    std::error_code ec;
+    const fs::path self = fs::read_symlink("/proc/self/exe", ec);
+    if (ec || !self.has_parent_path())
+        return "taskpoint_worker";
+    return (self.parent_path() / "taskpoint_worker").string();
+}
 
 std::string
 formatTaskName(const DispatchTaskName &name)
@@ -390,20 +395,11 @@ struct LocalRunner
     bool exited = false;
 };
 
-} // namespace
-
+/** runDispatchCampaign after validation and slice expansion. */
 void
-runDispatchCampaign(const ExperimentPlan &plan,
-                    const DispatchOptions &options, ResultSink &sink)
+runSpooledCampaign(const ExperimentPlan &plan,
+                   const DispatchOptions &options, ResultSink &sink)
 {
-    validatePlanJobs(plan);
-    if (options.spoolDir.empty() && options.localRunners == 0)
-        fatal("dispatch: a temp spool without local runners can "
-              "never make progress; pass a spool directory or a "
-              "runner count");
-    if (options.maxRetries == 0)
-        fatal("dispatch: at least one attempt per lineage needed");
-
     const bool ownSpool = options.spoolDir.empty();
     std::string root = options.spoolDir;
     if (root.empty())
@@ -521,16 +517,14 @@ runDispatchCampaign(const ExperimentPlan &plan,
     std::size_t spawned = 0;
     const std::size_t spawnBudget =
         options.localRunners * (options.maxRetries + 1);
-    const std::string runnerBin = options.localRunners == 0
-                                      ? std::string()
-                                      : (options.runnerBinary.empty()
-                                             ? selfBinary()
-                                             : options.runnerBinary);
+    const std::string runnerBin = options.runnerBinary.empty()
+                                      ? defaultWorkerBinary()
+                                      : options.runnerBinary;
     const auto spawnRunner = [&]() {
         LocalRunner lr;
         lr.id = strprintf("local-%zu", spawned);
         std::vector<std::string> argv = {
-            runnerBin, "--runner", "--spool=" + spool.root,
+            runnerBin, "--spool=" + spool.root,
             "--runner-id=" + lr.id,
             strprintf("--heartbeat=%lld",
                       static_cast<long long>(
@@ -540,6 +534,9 @@ runDispatchCampaign(const ExperimentPlan &plan,
             argv.push_back("--cache-dir=" + options.cacheDir);
             argv.push_back("--cache=" + options.cacheMode);
         }
+        if (!options.checkpointDir.empty())
+            argv.push_back("--checkpoint-dir=" +
+                           options.checkpointDir);
         SubprocessOptions so;
         so.stderrPath =
             (fs::path(spool.runners) / (lr.id + ".err")).string();
@@ -551,8 +548,10 @@ runDispatchCampaign(const ExperimentPlan &plan,
                                static_cast<int>(lr.process.pid())));
         locals.push_back(std::move(lr));
     };
-    for (std::size_t i = 0; i < options.localRunners; ++i)
-        spawnRunner();
+    // An empty plan is complete before it starts: no runner to spawn.
+    if (!plan.jobs.empty())
+        for (std::size_t i = 0; i < options.localRunners; ++i)
+            spawnRunner();
 
     const auto shutdown = [&]() {
         std::ofstream(spool.stopFile) << "stop\n";
@@ -823,8 +822,9 @@ runDispatchCampaign(const ExperimentPlan &plan,
                 spawned >= spawnBudget) {
                 shutdown();
                 fatal("dispatch: local runners keep dying (%zu "
-                      "spawns) and none are left",
-                      spawned);
+                      "spawns) and none are left (runner stderr: "
+                      "%s/*.err)",
+                      spawned, spool.runners.c_str());
             }
 
             if (progressed)
@@ -841,7 +841,7 @@ runDispatchCampaign(const ExperimentPlan &plan,
     merger.finish();
     if (options.progress)
         progress(strprintf(
-            "dispatch: campaign complete: %zu jobs over %zu tasks, "
+            "dispatch: campaign complete (%zu jobs) over %zu tasks, "
             "%zu runner spawns",
             merger.delivered(), tasks.size(), spawned));
 
@@ -849,6 +849,88 @@ runDispatchCampaign(const ExperimentPlan &plan,
         std::error_code rec;
         fs::remove_all(spool.root, rec); // best effort
     }
+}
+
+} // namespace
+
+void
+runDispatchCampaign(const ExperimentPlan &plan,
+                    const DispatchOptions &options, ResultSink &sink)
+{
+    // Fail fast: a malformed plan must not spawn a single runner.
+    validatePlanJobs(plan);
+    if (options.spoolDir.empty() && options.localRunners == 0)
+        fatal("dispatch: a temp spool without local runners can "
+              "never make progress; pass a spool directory or a "
+              "runner count");
+    if (options.maxRetries == 0)
+        fatal("dispatch: at least one attempt per lineage needed");
+
+    // Live-points: expand sampled jobs with recorded checkpoints
+    // into per-interval slices before sharding, so one job's slices
+    // spread across the fleet; the runners restore the checkpoints
+    // (they get --checkpoint-dir) and the merging sink reassembles
+    // the original result stream.
+    if (!options.checkpointDir.empty() && !options.collectTimelines) {
+        const std::unique_ptr<ResultCache> checkpoints =
+            openCheckpointDir(options.checkpointDir);
+        const std::size_t lanes =
+            std::max<std::size_t>(options.localRunners, 1) *
+            std::max<std::size_t>(options.jobsPerRunner, 1);
+        CheckpointExpansion ex = expandCheckpointSlices(
+            plan, *checkpoints, static_cast<std::uint32_t>(lanes));
+        if (ex.expanded) {
+            if (options.progress)
+                progress(strprintf(
+                    "checkpoints: expanded %zu jobs into %zu slice "
+                    "jobs",
+                    plan.jobs.size(), ex.plan.jobs.size()));
+            SliceMergingSink merging(sink, std::move(ex.groups));
+            runSpooledCampaign(ex.plan, options, merging);
+            return;
+        }
+    }
+    runSpooledCampaign(plan, options, sink);
+}
+
+DispatchOptions
+dispatchOptionsFromCli(const CliArgs &args)
+{
+    DispatchOptions o;
+    // --workers=N keeps one shard per runner, so checkpoint slicing
+    // and the shard geometry match an N-way in-process fan-out.
+    const std::size_t workers = workersFlag(args);
+    o.localRunners =
+        workers > 0 ? workers
+                    : static_cast<std::size_t>(
+                          args.getUintIn("runners", 0, 0, 256));
+    o.shards = workers > 0 ? static_cast<std::uint32_t>(workers)
+                           : static_cast<std::uint32_t>(
+                                 args.getUintIn("shards", 0, 1, 9999));
+    o.spoolDir = args.getString("spool", "");
+    o.runnerBinary = args.getString(kWorkerBinOption, "");
+    o.jobsPerRunner = jobsFlag(args, 1);
+    o.maxRetries = maxRetriesFlag(args, o.maxRetries);
+    o.heartbeatInterval = std::chrono::milliseconds(
+        args.getUintIn("heartbeat", 200, 10, 60000));
+    o.deadAfter = std::chrono::milliseconds(
+        args.getUintIn("dead-after", 2000, 50, 600000));
+    o.stalledAfter = std::chrono::milliseconds(
+        args.getUintIn("stalled-after", 0, 0, 3600000));
+    o.cacheDir = args.getString(kCacheDirOption, "");
+    o.cacheMode = args.getString(kCacheModeOption,
+                                 o.cacheDir.empty() ? "off" : "rw");
+    if (o.cacheMode == "off")
+        o.cacheDir.clear();
+    o.checkpointDir = args.getString(kCheckpointDirOption, "");
+    o.progress = true;
+    o.keepSpool = args.has("keep-spool");
+    // Trace sinks live with the caller; the shard tasks only carry
+    // the "record timelines" bit to the runner fleet.
+    o.collectTimelines =
+        !args.getString(kTraceOutOption, "").empty() ||
+        !args.getString(kTraceStatsOption, "").empty();
+    return o;
 }
 
 } // namespace tp::harness

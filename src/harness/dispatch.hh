@@ -12,9 +12,14 @@
  * (harness/worker), and append results to one envelope stream per
  * task; the coordinator live-tails every stream and merges the
  * results through a ResultMerger into any existing ResultSink in
- * plan submission order — the same sink contract BatchRunner and
- * ProcessPool honour, so a distributed campaign's deterministic
- * report is byte-identical to `--jobs=1`.
+ * plan submission order — the same sink contract BatchRunner
+ * honours, so a distributed campaign's deterministic report is
+ * byte-identical to `--jobs=1`.
+ *
+ * This is the one out-of-process executor: a driver's `--workers=N`
+ * runs its plan as a campaign of N local `taskpoint_worker` runners
+ * with one shard each over a private temp spool, and external
+ * machines join a campaign with `taskpoint_worker --spool=DIR`.
  *
  * Spool layout (all under one root):
  *
@@ -72,6 +77,10 @@
 #include "harness/batch_runner.hh"
 #include "harness/plan_shard.hh"
 #include "harness/result_sink.hh"
+
+namespace tp {
+class CliArgs;
+}
 
 namespace tp::harness {
 
@@ -180,21 +189,35 @@ struct DispatchOptions
     std::chrono::milliseconds stalledAfter{0};
     /**
      * Runner processes to spawn on this machine (0 = none; external
-     * runners join by pointing `taskpoint_dispatch --runner` at the
+     * runners join by pointing `taskpoint_worker --spool=DIR` at the
      * spool). Spawned runners that die are replaced while work
-     * remains, within the lineage retry budget.
+     * remains, within the lineage retry budget. An empty plan spawns
+     * none.
      */
     std::size_t localRunners = 0;
     /**
-     * Binary spawned as a local runner; empty resolves the running
-     * executable (/proc/self/exe), which re-enters runner mode.
+     * Binary spawned as a local runner; empty resolves
+     * defaultWorkerBinary().
      */
     std::string runnerBinary;
     /** --jobs forwarded to each local runner (threads per runner). */
     std::size_t jobsPerRunner = 1;
-    /** Result-cache CLI forwarded to local runners. */
+    /**
+     * Result-cache CLI forwarded to local runners; empty dir = runners
+     * run uncached. The on-disk cache is multi-process safe, so the
+     * whole fleet may share one directory.
+     */
     std::string cacheDir;
     std::string cacheMode = "rw";
+    /**
+     * Warm-state checkpoint store forwarded to local runners
+     * (--checkpoint-dir); empty = checkpoints off. When set, the
+     * coordinator expands sampled jobs with recorded checkpoints into
+     * per-interval slices *before* sharding, so the slices of one job
+     * spread across the fleet, and merges the slice results back (see
+     * harness/plan_shard.hh). Runners never re-expand.
+     */
+    std::string checkpointDir;
     /**
      * Cost-model cache probe (not owned, may be nullptr): when set,
      * shards whose every job hits this cache are scheduled first.
@@ -208,10 +231,36 @@ struct DispatchOptions
      * Ask every shard task (including steal re-splits) to record job
      * timelines and ship them back in its result stream, so a trace
      * sink on the coordinator merges the whole campaign into one
-     * Chrome trace (see harness/trace_report.hh).
+     * Chrome trace (see harness/trace_report.hh). Disables
+     * checkpoint-slice expansion, like BatchOptions::collectTimelines.
      */
     bool collectTimelines = false;
 };
+
+/**
+ * Assemble DispatchOptions from the canonical CLI surface. Every
+ * knob a binary does not list keeps its default:
+ *   - `--workers=N|auto` (kWorkersOption) is a private campaign of N
+ *     local runners with one shard each; absent or 0 leaves
+ *     localRunners at 0, which drivers take to mean in-process
+ *   - otherwise `--runners`, `--shards` and `--spool` describe the
+ *     campaign (taskpoint_dispatch)
+ *   - `--worker-bin`, `--jobs` (threads per runner), `--max-retries`,
+ *     `--heartbeat`, `--dead-after`, `--stalled-after`,
+ *     `--keep-spool`, the result-cache options and `--checkpoint-dir`
+ *     are forwarded or applied as documented on the fields
+ *   - `--trace-out`/`--trace-stats` turn on timeline collection; the
+ *     trace sinks themselves stay with the caller
+ */
+DispatchOptions dispatchOptionsFromCli(const CliArgs &args);
+
+/**
+ * @return the path of the taskpoint_worker binary shipped next to the
+ *         currently running executable (via /proc/self/exe), or plain
+ *         "taskpoint_worker" (PATH lookup) when the running binary's
+ *         directory cannot be determined.
+ */
+std::string defaultWorkerBinary();
 
 /**
  * Run `plan` as a distributed campaign (see file comment); blocks
@@ -219,7 +268,9 @@ struct DispatchOptions
  * order. Same sink contract as BatchRunner::run; a failed campaign
  * (a lineage exhausting maxRetries, local runners dying faster than
  * they can be replaced) kills every local runner, writes the stop
- * file and raises SimError without sink.end() being called.
+ * file and raises SimError without sink.end() being called. The
+ * last progress line reports `complete (N jobs)`, N counting the
+ * executed jobs after checkpoint-slice expansion.
  */
 void runDispatchCampaign(const ExperimentPlan &plan,
                          const DispatchOptions &options,

@@ -104,7 +104,7 @@ std::string readEnvelope(std::istream &in, const std::string &name);
  * tail for the next poll. Bytes that can never become a valid
  * envelope — wrong magic or version, a verifiably wrong checksum, or
  * a stream that shrank below the cursor — raise IoError; the caller
- * treats the whole stream (and hence the shard attempt behind it) as
+ * treats the whole stream (and hence the shard task behind it) as
  * failed.
  *
  * The reader holds no file handle between polls; it reopens and

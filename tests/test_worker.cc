@@ -1,25 +1,28 @@
 /**
  * @file
- * Tests of the multi-process result transport and coordinator: the
- * checksummed result envelope rejects truncated and bit-flipped
- * bytes with recoverable IoError, BatchResults round-trip
- * bit-identically through the wire format, and ProcessPool delivers
- * the same ordered result stream as in-process execution — including
- * with a worker killed mid-shard and with a worker binary that can
- * never succeed.
+ * Tests of the multi-process result transport and the local
+ * campaigns behind `--workers`: the checksummed result envelope
+ * rejects truncated and bit-flipped bytes with recoverable IoError,
+ * BatchResults round-trip bit-identically through the wire format,
+ * and a dispatch campaign over spawned taskpoint_worker runners
+ * delivers the same ordered result stream as in-process execution —
+ * including with a runner killed mid-shard and with a runner binary
+ * that can never succeed.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "common/binary_io.hh"
 #include "common/cli.hh"
+#include "common/fault_injection.hh"
 #include "corruption_battery.hh"
 #include "harness/batch_runner.hh"
-#include "harness/process_pool.hh"
+#include "harness/dispatch.hh"
 #include "harness/worker.hh"
 #include "sim/result_io.hh"
 
@@ -139,10 +142,11 @@ TEST(WorkerTransport, BatchResultRoundTripsBitIdentically)
 }
 
 /**
- * ProcessPool against the real taskpoint_worker binary (resolved
- * next to this test binary; both live in the build directory).
+ * Local campaigns (the `--workers=N` executor) against the real
+ * taskpoint_worker binary, resolved next to this test binary; both
+ * live in the build directory.
  */
-class ProcessPoolE2E : public ::testing::Test
+class LocalCampaignE2E : public ::testing::Test
 {
   protected:
     void
@@ -153,25 +157,33 @@ class ProcessPoolE2E : public ::testing::Test
                 << "taskpoint_worker not found next to the test "
                    "binary (" << defaultWorkerBinary() << ")";
     }
+
+    /** `--workers=n`: n local runners, one shard each. */
+    static DispatchOptions
+    workers(std::size_t n)
+    {
+        DispatchOptions o;
+        o.localRunners = n;
+        o.shards = static_cast<std::uint32_t>(n);
+        return o;
+    }
 };
 
-TEST_F(ProcessPoolE2E, MatchesInProcessExecutionOrderedAndExact)
+TEST_F(LocalCampaignE2E, MatchesInProcessExecutionOrderedAndExact)
 {
     const ExperimentPlan plan = smallPlan();
     const std::vector<BatchResult> reference =
         BatchRunner(BatchOptions{}).run(plan);
 
-    ProcessPoolOptions po;
-    po.workers = 3;
     CollectingSink sink;
-    ProcessPool(po).run(plan, sink);
+    runDispatchCampaign(plan, workers(3), sink);
     const std::vector<BatchResult> &results = sink.results();
 
     ASSERT_EQ(results.size(), reference.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
         SCOPED_TRACE(reference[i].label);
         EXPECT_EQ(results[i].index, i)
-            << "pool must deliver in submission order";
+            << "campaign must deliver in submission order";
         EXPECT_EQ(results[i].label, reference[i].label);
         ASSERT_EQ(results[i].sampled.has_value(),
                   reference[i].sampled.has_value());
@@ -192,35 +204,51 @@ TEST_F(ProcessPoolE2E, MatchesInProcessExecutionOrderedAndExact)
     }
 }
 
-TEST_F(ProcessPoolE2E, EmptyPlanCompletesWithoutWorkers)
+TEST_F(LocalCampaignE2E, EmptyPlanCompletesWithoutRunners)
 {
-    ProcessPoolOptions po;
-    po.workers = 4;
+    // Every spawned runner leaves runners/<id>.err behind in a kept
+    // spool, so an empty runners/ directory proves nothing spawned.
+    const fs::path spool =
+        fs::path(testing::TempDir()) / "tp_empty_campaign";
+    fs::remove_all(spool);
+    DispatchOptions o = workers(4);
+    o.spoolDir = spool.string();
     CollectingSink sink;
-    ProcessPool(po).run(ExperimentPlan{}, sink);
+    runDispatchCampaign(ExperimentPlan{}, o, sink);
     EXPECT_TRUE(sink.results().empty());
+    EXPECT_TRUE(fs::is_empty(spool / "runners"))
+        << "an empty plan must not spawn a runner";
+    fs::remove_all(spool);
 }
 
-TEST_F(ProcessPoolE2E, SurvivesWorkerKilledMidShard)
+TEST_F(LocalCampaignE2E, SurvivesRunnerKilledMidShard)
 {
-    // The kill-once hook makes exactly one worker SIGKILL itself
-    // after its first publish; the pool must retry that shard and
-    // still deliver the full, identical, ordered result set.
-    const fs::path marker =
-        fs::path(testing::TempDir()) / "tp_pool_kill_once";
-    fs::remove(marker);
-    ASSERT_EQ(setenv(kKillOnceEnvVar, marker.c_str(), 1), 0);
+    // A fault plan makes exactly one runner abort (SIGKILL) right
+    // after its first flushed publish; the spawned runners inherit it
+    // through the environment. The coordinator must steal the dead
+    // runner's remaining jobs and still deliver the full, identical,
+    // ordered result set.
+    const fs::path dir = fs::path(testing::TempDir());
+    const fs::path marker = dir / "tp_campaign_kill";
+    const fs::path fired = marker.string() + ".worker.stream.append.1";
+    const fs::path planFile = dir / "tp_campaign_kill.plan";
+    fs::remove(fired);
+    std::ofstream(planFile) << "taskpoint-fault-plan v1\n"
+                            << "once " << marker.string() << "\n"
+                            << "on worker.stream.append 1 abort\n";
+    ASSERT_EQ(setenv(fault::kFaultPlanEnvVar, planFile.c_str(), 1),
+              0);
 
     const ExperimentPlan plan = smallPlan(6);
-    ProcessPoolOptions po;
-    po.workers = 2; // 3 jobs per shard: death leaves work undone
     CollectingSink sink;
-    ProcessPool(po).run(plan, sink);
+    // 3 jobs per shard: death after the first leaves work undone.
+    runDispatchCampaign(plan, workers(2), sink);
 
-    unsetenv(kKillOnceEnvVar);
-    EXPECT_TRUE(fs::exists(marker))
-        << "the kill hook must actually have fired";
-    fs::remove(marker);
+    unsetenv(fault::kFaultPlanEnvVar);
+    EXPECT_TRUE(fs::exists(fired))
+        << "the abort fault must actually have fired";
+    fs::remove(fired);
+    fs::remove(planFile);
 
     const std::vector<BatchResult> reference =
         BatchRunner(BatchOptions{}).run(plan);
@@ -232,37 +260,45 @@ TEST_F(ProcessPoolE2E, SurvivesWorkerKilledMidShard)
     }
 }
 
-TEST_F(ProcessPoolE2E, HopelessWorkerBinaryFailsAfterMaxAttempts)
+TEST_F(LocalCampaignE2E, HopelessRunnerBinaryFailsOnceSpawnBudgetIsSpent)
 {
-    ProcessPoolOptions po;
-    po.workers = 1;
-    po.maxAttempts = 2;
-    po.workerBinary = "/bin/false";
+    DispatchOptions o = workers(1);
+    o.maxRetries = 2;
+    o.runnerBinary = "/bin/false";
     CollectingSink sink;
-    EXPECT_THROW(ProcessPool(po).run(smallPlan(2), sink), SimError);
+    EXPECT_THROW(runDispatchCampaign(smallPlan(2), o, sink), SimError);
 }
 
-TEST(ProcessPoolCli, BuildsOptionsFromFlags)
+TEST(DispatchOptionsCli, BuildsOptionsFromFlags)
 {
+    const std::vector<CliOption> options = {
+        workersCliOption(), workerBinCliOption(), jobsCliOption(),
+        maxRetriesCliOption(), cacheDirCliOption(),
+        cacheModeCliOption(), checkpointDirCliOption()};
     const char *argv[] = {"prog", "--workers=3", "--jobs=2",
-                          "--cache-dir=/tmp/c", "--cache=ro"};
-    const CliArgs args(5, argv,
-                       {workersCliOption(), workerBinCliOption(),
-                        jobsCliOption(), cacheDirCliOption(),
-                        cacheModeCliOption()});
-    const ProcessPoolOptions po = processPoolFromCli(args);
-    EXPECT_EQ(po.workers, 3u);
-    EXPECT_EQ(po.jobsPerWorker, 2u);
-    EXPECT_EQ(po.cacheDir, "/tmp/c");
-    EXPECT_EQ(po.cacheMode, "ro");
+                          "--max-retries=5", "--cache-dir=/tmp/c",
+                          "--cache=ro", "--checkpoint-dir=/tmp/k",
+                          "--worker-bin=/opt/w"};
+    const CliArgs args(8, argv, options);
+    const DispatchOptions o = dispatchOptionsFromCli(args);
+    EXPECT_EQ(o.localRunners, 3u);
+    EXPECT_EQ(o.shards, 3u) << "one shard per local runner";
+    EXPECT_TRUE(o.spoolDir.empty()) << "a private temp spool";
+    EXPECT_EQ(o.jobsPerRunner, 2u);
+    EXPECT_EQ(o.maxRetries, 5u);
+    EXPECT_EQ(o.cacheDir, "/tmp/c");
+    EXPECT_EQ(o.cacheMode, "ro");
+    EXPECT_EQ(o.checkpointDir, "/tmp/k");
+    EXPECT_EQ(o.runnerBinary, "/opt/w");
+    EXPECT_FALSE(o.collectTimelines);
 
-    const char *off[] = {"prog", "--workers=0"};
-    const CliArgs offArgs(2, off,
-                          {workersCliOption(), workerBinCliOption(),
-                           jobsCliOption(), cacheDirCliOption(),
-                           cacheModeCliOption()});
-    EXPECT_EQ(processPoolFromCli(offArgs).workers, 0u)
+    const char *off[] = {"prog", "--workers=0", "--cache=off",
+                         "--cache-dir=/tmp/c"};
+    const DispatchOptions offOpts =
+        dispatchOptionsFromCli(CliArgs(4, off, options));
+    EXPECT_EQ(offOpts.localRunners, 0u)
         << "--workers=0 must mean in-process";
+    EXPECT_TRUE(offOpts.cacheDir.empty()) << "--cache=off wins";
 }
 
 } // namespace

@@ -137,9 +137,10 @@ struct DispatchOverhead
 
 /**
  * Time a six-job sampled plan once through BatchRunner and once as a
- * dispatch campaign over a temp spool with two runner threads
- * (fastest of `repeat` each). Everything is in one process, so the
- * delta isolates the spool protocol itself.
+ * dispatch campaign over a temp spool (fastest of `repeat` each),
+ * both at the same parallelism: two BatchRunner threads against two
+ * runner threads. Everything is in one process, so the delta
+ * isolates the spool protocol itself.
  */
 DispatchOverhead
 measureDispatchOverhead(const work::WorkloadParams &wp,
@@ -163,12 +164,15 @@ measureDispatchOverhead(const work::WorkloadParams &wp,
 
     DispatchOverhead oh;
     oh.jobs = plan.jobs.size();
+    const std::size_t lanes = 2;
 
     oh.inprocSeconds = -1.0;
     for (std::uint64_t r = 0; r < repeat; ++r) {
         harness::CollectingSink sink;
+        harness::BatchOptions bo;
+        bo.jobs = lanes;
         const double t0 = nowSeconds();
-        harness::BatchRunner().run(plan, sink);
+        harness::BatchRunner(bo).run(plan, sink);
         const double wall = nowSeconds() - t0;
         if (oh.inprocSeconds < 0.0 || wall < oh.inprocSeconds)
             oh.inprocSeconds = wall;
@@ -186,7 +190,7 @@ measureDispatchOverhead(const work::WorkloadParams &wp,
         dopt.spoolDir = spoolDir.string();
         dopt.shards = 4;
         std::vector<std::thread> runners;
-        for (int i = 0; i < 2; ++i) {
+        for (std::size_t i = 0; i < lanes; ++i) {
             harness::DispatchRunnerOptions ro;
             ro.spoolDir = dopt.spoolDir;
             ro.runnerId = "perf-" + std::to_string(i);

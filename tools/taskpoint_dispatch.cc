@@ -1,34 +1,27 @@
 /**
  * @file
- * Distributed campaign coordinator and runner (harness/dispatch).
+ * Distributed campaign coordinator (harness/dispatch).
  *
- * Coordinator (default role): split a serialized ExperimentPlan into
- * cost-ordered shard tasks, publish them into a spool directory,
- * optionally spawn local runner processes, live-tail the result
- * streams and print the standard streaming report — byte-identical
- * (host wall-clock aside) to replaying the plan with --jobs=1.
+ * Split a serialized ExperimentPlan into cost-ordered shard tasks,
+ * publish them into a spool directory, optionally spawn local
+ * taskpoint_worker runners, live-tail the result streams and print
+ * the standard streaming report — byte-identical (host wall-clock
+ * aside) to replaying the plan with --jobs=1.
  *
  *   taskpoint_dispatch --plan=FILE [--spool=DIR] [--runners=N]
  *                      [--shards=N] [--jobs=N] [--max-retries=N]
- *                      [--heartbeat=MS] [--dead-after=MS]
- *                      [--stalled-after=MS] [--csv=FILE]
- *                      [--json=FILE] [--trace-out=FILE]
+ *                      [--worker-bin=PATH] [--heartbeat=MS]
+ *                      [--dead-after=MS] [--stalled-after=MS]
+ *                      [--csv=FILE] [--json=FILE] [--trace-out=FILE]
  *                      [--trace-stats=FILE] [--cache-dir=DIR]
  *                      [--cache=off|ro|rw] [--fault-plan=FILE]
  *                      [--cost-probe] [--keep-spool]
  *
- * Runner: join an existing spool (possibly on another machine via a
- * shared filesystem), claim tasks, execute them, stream results
- * back, and exit when the coordinator publishes the stop file.
- *
- *   taskpoint_dispatch --runner --spool=DIR [--runner-id=NAME]
- *                      [--jobs=N] [--heartbeat=MS] [--quiet]
- *                      [--cache-dir=DIR] [--cache=off|ro|rw]
- *
- * See README "Distributed campaigns" for the spool contract.
+ * Runners on other machines join the same spool with
+ * `taskpoint_worker --spool=DIR`. See README "Distributed campaigns"
+ * for the spool contract.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -46,33 +39,6 @@ using namespace tp;
 namespace {
 
 int
-runnerMain(const CliArgs &args)
-{
-    harness::DispatchRunnerOptions ro;
-    ro.spoolDir = args.getString("spool", "");
-    if (ro.spoolDir.empty())
-        fatal("--runner needs --spool=DIR (see --help)");
-    ro.runnerId = args.getString("runner-id", "");
-    ro.heartbeatInterval = std::chrono::milliseconds(
-        args.getUintIn("heartbeat", 200, 10, 60000));
-    ro.progress = !args.has("quiet");
-
-    const std::unique_ptr<harness::ResultCache> cache =
-        harness::resultCacheFromCli(args);
-    ro.batch.jobs = jobsFlag(args, 1);
-    ro.batch.progress = false; // per-job lines drown the heartbeat
-    ro.batch.cache = cache.get();
-
-    const std::size_t executed = harness::runDispatchRunner(ro);
-    if (ro.progress)
-        harness::progress(
-            strprintf("runner: executed %zu tasks", executed));
-    if (cache && ro.progress)
-        harness::progress(cache->statsLine());
-    return 0;
-}
-
-int
 coordinatorMain(const CliArgs &args)
 {
     const std::string path = args.getString("plan", "");
@@ -84,35 +50,8 @@ coordinatorMain(const CliArgs &args)
                 plan.jobs.size(),
                 harness::planDigest(plan).c_str());
 
-    harness::DispatchOptions dopt;
-    dopt.spoolDir = args.getString("spool", "");
-    dopt.shards = static_cast<std::uint32_t>(
-        args.getUintIn("shards", 0, 1, 9999));
-    dopt.maxRetries = maxRetriesFlag(args);
-    dopt.heartbeatInterval = std::chrono::milliseconds(
-        args.getUintIn("heartbeat", 200, 10, 60000));
-    dopt.deadAfter = std::chrono::milliseconds(
-        args.getUintIn("dead-after", 2000, 50, 600000));
-    dopt.stalledAfter = std::chrono::milliseconds(
-        args.getUintIn("stalled-after", 0, 0, 3600000));
-    dopt.localRunners =
-        static_cast<std::size_t>(args.getUintIn("runners", 0, 0, 256));
-    dopt.runnerBinary = args.getString("runner-bin", "");
-    dopt.jobsPerRunner = jobsFlag(args, 1);
-    dopt.cacheDir = args.getString(kCacheDirOption, "");
-    dopt.cacheMode = args.getString(
-        kCacheModeOption, dopt.cacheDir.empty() ? "off" : "rw");
-    if (dopt.cacheMode == "off")
-        dopt.cacheDir.clear();
-    dopt.progress = true;
-    dopt.keepSpool = args.has("keep-spool");
-    // Trace sinks live here on the coordinator; the shard tasks only
-    // carry the "record timelines" bit to the runner fleet.
-    const std::string traceOut = args.getString(kTraceOutOption, "");
-    const std::string traceStats =
-        args.getString(kTraceStatsOption, "");
-    dopt.collectTimelines =
-        !traceOut.empty() || !traceStats.empty();
+    harness::DispatchOptions dopt =
+        harness::dispatchOptionsFromCli(args);
 
     std::unique_ptr<harness::ResultCache> probe;
     if (args.has("cost-probe")) {
@@ -134,6 +73,9 @@ coordinatorMain(const CliArgs &args)
     if (const std::string f = args.getString("json", ""); !f.empty())
         sinks.push_back(
             (json = std::make_unique<harness::JsonSink>(f)).get());
+    const std::string traceOut = args.getString(kTraceOutOption, "");
+    const std::string traceStats =
+        args.getString(kTraceStatsOption, "");
     std::unique_ptr<harness::ChromeTraceSink> trace;
     if (!traceOut.empty())
         sinks.push_back(
@@ -169,23 +111,17 @@ main(int argc, char **argv)
         const CliArgs args(
             argc, argv,
             {{"plan",
-              "serialized experiment plan to dispatch (coordinator; "
-              "required)"},
+              "serialized experiment plan to dispatch (required)"},
              {"spool",
               "spool directory shared with the runners (default: "
               "coordinator creates a temp spool)"},
              {"runners",
               "local runner processes the coordinator spawns "
-              "(default 0: external runners join via --runner)"},
+              "(default 0: external runners join with "
+              "taskpoint_worker --spool=DIR)"},
              {"shards",
               "shard tasks to split the plan into (default "
               "2x runners; one result stream exists per task)"},
-             {"runner", "run as a runner joining --spool"},
-             {"runner-id",
-              "runner identity in the spool (default host-pid)"},
-             {"runner-bin",
-              "binary spawned as a local runner (default: this "
-              "executable)"},
              {"heartbeat",
               "runner heartbeat interval in ms (default 200)"},
              {"dead-after",
@@ -204,13 +140,11 @@ main(int argc, char **argv)
              {"csv", "also stream results to this file as CSV rows"},
              {"json",
               "also stream results to this file as a JSON array"},
-             {"quiet", "suppress runner progress lines"},
-             jobsCliOption(), maxRetriesCliOption(),
+             jobsCliOption(), workerBinCliOption(),
+             maxRetriesCliOption(),
              cacheDirCliOption(), cacheModeCliOption(),
              traceOutCliOption(), traceStatsCliOption(),
              faultPlanCliOption()});
-        if (args.has("runner"))
-            return runnerMain(args);
         return coordinatorMain(args);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "taskpoint_dispatch: %s\n", e.what());

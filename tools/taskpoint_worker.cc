@@ -1,34 +1,33 @@
 /**
  * @file
- * Out-of-process shard executor — the child end of the ProcessPool
- * transport (see harness/process_pool).
+ * Campaign runner — the one out-of-process executor binary (see
+ * harness/dispatch).
  *
- *   taskpoint_worker --shard=FILE --out-dir=DIR [--jobs=N|auto]
- *                    [--cache-dir=DIR] [--cache=off|ro|rw]
- *                    [--checkpoint-dir=DIR] [--trace-out=FILE]
- *                    [--quiet]
+ *   taskpoint_worker --spool=DIR [--runner-id=NAME] [--jobs=N|auto]
+ *                    [--heartbeat=MS] [--cache-dir=DIR]
+ *                    [--cache=off|ro|rw] [--checkpoint-dir=DIR]
+ *                    [--fault-plan=FILE] [--quiet]
  *
- * Reads a serialized plan shard (harness/plan_shard), executes it
- * through the ordinary BatchRunner, and appends each finished job's
- * result to the shard's checksummed envelope stream in --out-dir
- * (see harness/worker; the coordinator live-tails the stream, so a
- * half-flushed tail reads as "not ready yet", never as corruption).
- * Exit code 0 means every job of the shard was published; any
- * error — corrupt shard, invalid job, I/O failure — exits nonzero,
- * which the coordinating driver treats as a shard failure and
- * retries (--max-retries attempts, each with a fresh stream).
- *
- * Drivers normally spawn this binary themselves (--workers=N), but
- * it also works by hand for debugging a single shard.
+ * Joins the campaign spooled at --spool (possibly on another machine
+ * via a shared filesystem): heartbeats, claims shard tasks in
+ * schedule order, executes each through the ordinary BatchRunner,
+ * appends every finished job's result to the task's checksummed
+ * envelope stream, and exits when the coordinator publishes the stop
+ * file. Drivers spawn this binary themselves for `--workers=N` and
+ * `taskpoint_dispatch --runners=N`; external machines start it by
+ * hand. A runner that dies is detected by the coordinator, which
+ * steals its uncollected work.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <exception>
+#include <memory>
 
 #include "common/cli.hh"
 #include "common/logging.hh"
+#include "harness/dispatch.hh"
 #include "harness/result_cache.hh"
-#include "harness/worker.hh"
 
 using namespace tp;
 
@@ -38,48 +37,44 @@ main(int argc, char **argv)
     try {
         const CliArgs args(
             argc, argv,
-            {{"shard",
-              "serialized plan shard to execute (required)"},
-             {"out-dir",
-              "directory result files are published into "
-              "(required)"},
-             {"quiet", "suppress per-job progress lines"},
+            {{"spool", "spool directory of the campaign (required)"},
+             {"runner-id",
+              "runner identity in the spool (default host-pid)"},
+             {"heartbeat",
+              "heartbeat interval in ms (default 200)"},
+             {"quiet", "suppress runner progress lines"},
              jobsCliOption(), cacheDirCliOption(),
              cacheModeCliOption(), checkpointDirCliOption(),
-             traceOutCliOption(), faultPlanCliOption()});
-        harness::WorkerOptions wo;
-        wo.shardPath = args.getString("shard", "");
-        wo.outDir = args.getString("out-dir", "");
-        wo.traceOutPath = args.getString(kTraceOutOption, "");
-        if (wo.shardPath.empty() || wo.outDir.empty())
-            fatal("--shard=FILE and --out-dir=DIR are required "
-                  "(see --help)");
+             faultPlanCliOption()});
+        harness::DispatchRunnerOptions ro;
+        ro.spoolDir = args.getString("spool", "");
+        if (ro.spoolDir.empty())
+            fatal("--spool=DIR is required (see --help)");
+        ro.runnerId = args.getString("runner-id", "");
+        ro.heartbeatInterval = std::chrono::milliseconds(
+            args.getUintIn("heartbeat", 200, 10, 60000));
+        ro.progress = !args.has("quiet");
 
         const std::unique_ptr<harness::ResultCache> cache =
             harness::resultCacheFromCli(args);
         const std::unique_ptr<harness::ResultCache> checkpoints =
             harness::openCheckpointDir(
                 args.getString(kCheckpointDirOption, ""));
-        wo.batch.jobs = jobsFlag(args, 1);
-        wo.batch.progress = !args.has("quiet");
-        wo.batch.cache = cache.get();
-        wo.batch.checkpoints = checkpoints.get();
-        // The parent pool already expanded the plan; a worker
-        // re-expanding its shard would publish more results than
-        // the shard promises.
-        wo.batch.expandSlices = false;
+        ro.batch.jobs = jobsFlag(args, 1);
+        ro.batch.progress = false; // per-job lines drown the heartbeat
+        ro.batch.cache = cache.get();
+        ro.batch.checkpoints = checkpoints.get();
 
-        const std::size_t published = harness::runWorkerShard(wo);
-        if (wo.batch.progress)
-            harness::progress(strprintf(
-                "worker: published %zu results to %s", published,
-                wo.outDir.c_str()));
-        if (cache && wo.batch.progress)
+        const std::size_t executed = harness::runDispatchRunner(ro);
+        if (ro.progress)
+            harness::progress(
+                strprintf("runner: executed %zu tasks", executed));
+        if (cache && ro.progress)
             harness::progress(cache->statsLine());
         return 0;
     } catch (const std::exception &e) {
         // The coordinator reads exit codes, not exceptions; report
-        // and exit nonzero so the shard is retried.
+        // and exit nonzero so the runner's claimed work is stolen.
         std::fprintf(stderr, "taskpoint_worker: %s\n", e.what());
         return 1;
     }
